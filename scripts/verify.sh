@@ -40,7 +40,7 @@ run_tree() {
   # can never silently skip it.
   echo "== differential suite ${dir} =="
   (cd "${dir}" && ctest --output-on-failure --timeout "${timeout}" \
-    -R 'PipelineDifferential|DataflowDag|DataflowStress|Lookahead')
+    -R 'PipelineDifferential|DataflowDag|DataflowStress|DataflowGolden|Lookahead')
   # Fused-D gate: the batched backend must stay bit-identical across the
   # kernel, scheduler, and chaos matrices. TSan pays 10-20x per test, so that
   # tree runs one real fused solve instead of the whole differential sweep.
