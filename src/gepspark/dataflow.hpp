@@ -1,49 +1,68 @@
-// dataflow.hpp — tile-level dataflow scheduler for the GEP drivers.
+// dataflow.hpp — the tile-level dataflow engine, shared by the GEP drivers
+// and the nested wavefront workloads, plus its GEP planner.
 //
-// Instead of the per-phase barrier loop (A, then B/C, then D — paper
-// Listings 1 & 2), the engine builds the exact per-iteration dependency DAG
-// over tile tasks and releases each task the moment its inputs are ready:
+// Instead of a per-phase barrier loop (A, then B/C, then D — paper Listings
+// 1 & 2 — or one wavefront phase at a time), the engine builds the exact
+// dependency DAG over tile tasks and releases each task the moment its inputs
+// are ready. DataflowEngine<Planner> owns everything that does not depend on
+// the recurrence:
 //
-//   A(k,k):  self = latest (k,k)
-//   B(k,j):  self = latest (k,j),  u = A(k,k)   [+ w = A iff Spec::kUsesW]
-//   C(i,k):  self = latest (i,k),  v = A(k,k)   [+ w = A]
-//   D(i,j):  self = latest (i,j),  u = C(i,k), v = B(k,j)   [+ w = A]
+//   * the node table — one immutable tile version plus its lineage (the
+//     kernel call that made it) per node, deps in one flat pool — and the
+//     latest-version map from grid cell to node;
+//   * segments: one task graph per checkpoint segment through
+//     SparkContext::run_task_graph (per-attempt task failures, stragglers,
+//     executor kills, speculation); a checkpoint is a global materialization
+//     fence, so lookahead pipelines freely within a segment only;
+//   * routing: IM sends every cross-executor data edge through a modeled
+//     transfer task (one per producer × destination, like a map output
+//     fetched once per reducer), which overlaps compute; CB instead charges
+//     each step's driver collect/broadcast;
+//   * per-step zero-cost fences and the lookahead gate: step k may not start
+//     before the fence of step k - lookahead - 1;
+//   * carried tiles as unpinned executor-store blocks between segments, the
+//     storage-tier block source, lineage recomputation down to pinned data,
+//     checksummed checkpoint snapshots with corruption heal, and the lineage
+//     and graph logs the analysis tools read.
 //
-// plus the cross-iteration edge: the latest writer of a tile at iteration k
-// is the `self` input of its next writer at iteration k' > k. Since most
-// D-tiles of iteration k are independent of A/B/C of iteration k+1, trailing
-// updates overlap the next pivot ("pivot lookahead"); the depth is bounded
-// by SolverOptions::lookahead through zero-cost fence tasks. The task call
-// graph is exactly the barrier drivers' call graph — same kernels, same
-// input versions — and tile outputs are immutable, so the result is
-// bit-identical to barrier mode under any schedule, chaos plan, or recovery.
+// A planner supplies only what differs: the grid shape and step count, the
+// nodes each step emits (add_input / add_node / add_task / add_batch_task),
+// the kernel a node runs, and how the final tiles become the result.
+// GepPlanner below emits A/B/C/D with deps self,u,v,w; nested::NestedPlanner
+// (nested/nested_driver.hpp) adapts a wavefront Plan.
 //
-// Strategy still matters for the communication model: IM routes every
-// cross-executor data edge through a modeled transfer task (which overlaps
-// compute — the pipelining win), CB charges per-iteration driver
-// collect/broadcast time for the pivot tiles.
+// Invariants that keep graphs and lineage stable:
+//   * live tiles are visited in the order each grid cell was first inserted
+//     (row-major for GEP, whose inputs are inserted row-major; node-creation
+//     order for the single-assignment nested plans), which fixes the
+//     fetch-failure victim, the checkpoint order and the checksum seeds;
+//   * a node's dep list keeps repeats (GEP's B/C/D read the pivot as u or v
+//     and as w); a task routes each distinct dep once, and only fused
+//     batches sort and dedupe the union of their members' edges;
+//   * a lineage record is a source iff it has no deps.
 //
-// Fault tolerance: graphs run through SparkContext::run_task_graph (per
-// attempt task failures, stragglers, executor kills, speculation). Carried
-// tiles live as unpinned blocks in the executor store between segments; a
-// kill or eviction (or an injected fetch failure) loses them and the engine
-// recomputes through its own lineage — the Node table below — down to the
-// last checkpoint snapshot, which is written checksummed into the shared
-// store at every checkpoint_interval boundary with corruption heal.
+// Tile outputs are immutable and every kernel is pure, so results are
+// bit-identical to the barrier drivers under any schedule, chaos plan, or
+// recovery.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "analysis/hb_detector.hpp"
 #include "analysis/model_check.hpp"
+#include "analysis/schedule_check.hpp"
 #include "gepspark/copy_plan.hpp"
 #include "gepspark/options.hpp"
 #include "grid/tile_grid.hpp"
@@ -61,24 +80,43 @@
 
 namespace gepspark {
 
-template <gs::GepSpecType Spec>
+template <typename Planner>
 class DataflowEngine : public sparklet::BlockSource {
  public:
-  using T = typename Spec::value_type;
-  using TileR = gs::TileRef<T>;
-  using DPPair = std::pair<gs::TileKey, TileR>;
+  using TileR = typename Planner::TileR;
+  using Payload = typename Planner::Payload;
+
+  /// One immutable tile version plus its lineage. Consumers reference
+  /// producer nodes, never keys, so overlapping steps can hold several live
+  /// versions of one grid cell.
+  struct Node {
+    TileR out;  ///< materialized tile; empty = lost, recomputable
+    std::size_t bytes = 0;
+    gs::TileKey key{0, 0};
+    int k = -1;  ///< producing step (-1 for a pinned input)
+    int executor = 0;
+    int dep_begin = 0;  ///< deps: dep_pool_[dep_begin, dep_begin + dep_count)
+    int dep_count = 0;
+    int task = -1;  ///< producing task, valid while its segment is built
+    char kind = 0;  ///< kernel kind letter
+    bool pinned = false;  ///< survives anything (input / checkpoint snapshot)
+    [[no_unique_address]] Payload payload{};
+  };
 
   DataflowEngine(sparklet::SparkContext& sc, const SolverOptions& opt,
-                 std::shared_ptr<const gs::GepKernels<Spec>> kernels,
-                 sparklet::PartitionerPtr part)
+                 Planner planner, sparklet::PartitionerPtr part)
       : sc_(sc),
         opt_(opt),
-        kernels_(std::move(kernels)),
+        planner_(std::move(planner)),
         part_(std::move(part)),
-        store_rdd_(sc_.next_rdd_id()) {
+        store_rdd_(sc_.next_rdd_id()),
+        cols_(planner_.grid_cols()),
+        latest_(static_cast<std::size_t>(planner_.grid_rows()) *
+                    static_cast<std::size_t>(cols_),
+                -1) {
     // The engine is the block source for its carried tiles: when the store
     // demotes one down the storage ladder (serialize / spill), the payload
-    // comes from — and readbacks restore into — the Node table.
+    // comes from — and readbacks restore into — the node table.
     sc_.set_block_source(store_rdd_, this);
   }
 
@@ -92,7 +130,7 @@ class DataflowEngine : public sparklet::BlockSource {
 
   /// Test hook: when set, every task graph handed to run_task_graph is also
   /// appended here (one spec vector per segment), so tests can assert the
-  /// exact edge set the engine builds for small r.
+  /// exact edge set the engine builds.
   void set_graph_log(std::vector<std::vector<sparklet::DataflowTaskSpec>>* log) {
     graph_log_ = log;
   }
@@ -105,39 +143,18 @@ class DataflowEngine : public sparklet::BlockSource {
     lineage_log_ = log;
   }
 
-  /// Run the full GEP computation over the scattered grid; returns the final
-  /// tile entries (row-major) after charging the driver-side gather.
-  std::vector<DPPair> solve(const gs::TileGrid<T>& grid,
-                            const gs::BlockLayout& layout) {
-    r_ = static_cast<int>(layout.r);
-    const GridRanges ranges(r_, Spec::kStrictSigma);
-
-    // Source nodes: the input tiles. Pinned — the driver holds the input, so
-    // lineage recomputation always bottoms out here.
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        Node nd;
-        nd.source = true;
-        nd.pinned = true;
-        nd.key = {i, j};
-        nd.out = grid.at(static_cast<std::size_t>(i),
-                         static_cast<std::size_t>(j));
-        nd.bytes = nd.out->bytes();
-        nd.executor = executor_of_key(nd.key);
-        latest_[nd.key] = add_node(std::move(nd));
-      }
-    }
-
-    // Segments end at checkpoint boundaries: a checkpoint is a global
-    // materialization fence (Listings 1 & 2 "checkpoint(DP)"), so lookahead
-    // pipelines freely within a segment and synchronizes at its edge.
+  /// Run every step of the planner and return its result, after charging
+  /// the driver-side gather of the final tiles.
+  auto solve() {
+    planner_.add_inputs(*this);
+    const int steps = planner_.steps();
     const int interval = opt_.checkpoint_interval;
-    const int seg_len = interval > 0 ? interval : r_;
+    const int seg_len = interval > 0 ? interval : steps;
     int seg_index = 0;
-    for (int s = 0; s < r_; s += seg_len, ++seg_index) {
-      const int e = std::min(s + seg_len, r_);
+    for (int s = 0; s < steps; s += seg_len, ++seg_index) {
+      const int e = std::min(s + seg_len, steps);
       if (seg_index > 0) recover_carried(seg_index);
-      run_segment(s, e, ranges);
+      run_segment(s, e);
       if (interval > 0 && e % interval == 0) {
         checkpoint_snapshot();
       } else {
@@ -150,132 +167,147 @@ class DataflowEngine : public sparklet::BlockSource {
     // Registering the final segment's tiles may have demoted some of them
     // down the storage ladder (releasing the in-memory copy); read them back
     // before the gather.
-    restore_latest_outs();
-
-    std::vector<DPPair> entries;
-    entries.reserve(static_cast<std::size_t>(r_) * static_cast<std::size_t>(r_));
+    restore_live_outs();
     std::size_t total_bytes = 0;
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        const Node& nd = nodes_[latest_node({i, j})];
-        GS_CHECK_MSG(nd.out != nullptr, "final tile missing");
-        entries.push_back({nd.key, nd.out});
-        total_bytes += nd.bytes;
-      }
-    }
+    for (std::size_t s : live_) total_bytes += node(latest_[s]).bytes;
     sc_.charge_collect(total_bytes);  // gatherResult
-    return entries;
+    return planner_.finish(*this);
+  }
+
+  const Planner& planner() const { return planner_; }
+
+  // --------------- planner interface: reading the node table ---------------
+
+  const SolverOptions& options() const { return opt_; }
+
+  const Node& node(int id) const {
+    return nodes_[static_cast<std::size_t>(id)];
+  }
+
+  std::span<const int> deps(const Node& nd) const {
+    return {dep_pool_.data() + nd.dep_begin,
+            static_cast<std::size_t>(nd.dep_count)};
+  }
+
+  /// Node id of the latest version of grid cell `key`.
+  int latest(gs::TileKey key) const {
+    const int id = latest_.at(slot(key));
+    GS_CHECK_MSG(id >= 0, "tile has no version yet");
+    return id;
+  }
+
+  // ------------- planner interface: emitting nodes and tasks -------------
+
+  /// A pinned input tile: lineage recomputation always bottoms out here.
+  void add_input(gs::TileKey key, TileR tile) {
+    Node nd;
+    nd.key = key;
+    nd.bytes = tile->bytes();
+    nd.out = std::move(tile);
+    nd.pinned = true;
+    nd.executor = executor_of_key(key);
+    push_node(std::move(nd));
+  }
+
+  /// A new version of `key` made at step `k` by kernel `kind` from `deps`
+  /// (node ids; negative entries are skipped, repeats are kept). It becomes
+  /// the cell's latest version. `payload` is moved in after `deps` is read,
+  /// so `deps` may be a view over it.
+  template <typename Deps>
+  int add_node(gs::TileKey key, char kind, int k, std::size_t bytes,
+               const Deps& deps, Payload&& payload = Payload{}) {
+    Node nd;
+    nd.key = key;
+    nd.kind = kind;
+    nd.k = k;
+    nd.bytes = bytes;
+    nd.executor = executor_of_key(key);
+    nd.dep_begin = static_cast<int>(dep_pool_.size());
+    for (int dep : deps) {
+      if (dep >= 0) dep_pool_.push_back(dep);
+    }
+    nd.dep_count = static_cast<int>(dep_pool_.size()) - nd.dep_begin;
+    nd.payload = std::move(payload);
+    const int group = Planner::cb_group(kind);
+    if (group >= 0) {
+      cb_bytes_[static_cast<std::size_t>(k - seg_start_)]
+               [static_cast<std::size_t>(group)] += bytes;
+    }
+    return push_node(std::move(nd));
+  }
+
+  /// One graph task running node `id`.
+  void add_task(int id) {
+    Node& nd = nodes_[static_cast<std::size_t>(id)];
+    sparklet::DataflowTaskSpec t;
+    t.label = planner_.task_label(nd.kind);
+    t.executor = nd.executor;
+    t.gep_kind = nd.kind;
+    t.gep_k = nd.k;
+    t.tile_i = nd.key.i;
+    t.tile_j = nd.key.j;
+    route_deps(nd, nd.executor, t.deps);
+    gate(nd.k, t.deps);
+    members_.push_back(id);
+    nd.task = push_task(std::move(t), {static_cast<int>(members_.size()) - 1, 1,
+                                       /*batch=*/false});
+  }
+
+  /// ONE task on `executor` running every node of `group` (same kind and
+  /// step) through Planner::compute_batch. The spec keeps per-tile identity
+  /// in `batch` (union footprint for ScheduleChecker), deps are the sorted,
+  /// deduped union of the members' routed edges, and downstream consumers of
+  /// any member route to the batch task. Nodes and lineage stay per-tile.
+  void add_batch_task(const std::vector<int>& group, int executor) {
+    const Node& first = node(group.front());
+    sparklet::DataflowTaskSpec t;
+    t.label = Planner::kBatchLabel;
+    t.executor = executor;
+    t.gep_kind = first.kind;
+    t.gep_k = first.k;
+    for (int id : group) {
+      const Node& nd = node(id);
+      t.batch.push_back({nd.key.i, nd.key.j});
+      route_deps(nd, executor, t.deps);
+    }
+    std::sort(t.deps.begin(), t.deps.end());
+    t.deps.erase(std::unique(t.deps.begin(), t.deps.end()), t.deps.end());
+    gate(first.k, t.deps);
+    const int begin = static_cast<int>(members_.size());
+    members_.insert(members_.end(), group.begin(), group.end());
+    const int idx = push_task(
+        std::move(t), {begin, static_cast<int>(group.size()), /*batch=*/true});
+    for (int id : group) nodes_[static_cast<std::size_t>(id)].task = idx;
   }
 
  private:
-  static constexpr bool kUsesW = Spec::kUsesW;
-
-  /// One immutable tile version plus its lineage (the kernel call that made
-  /// it). Consumers reference producer nodes, never keys, so overlapping
-  /// iterations can hold several live versions of one grid cell.
-  struct Node {
-    gs::KernelKind kind = gs::KernelKind::A;
-    bool source = false;
-    int k = -1;  ///< producing iteration (-1 for sources)
-    gs::TileKey key{0, 0};
-    int self = -1, u = -1, v = -1, w = -1;  ///< input node ids
-    TileR out;  ///< materialized tile; empty = lost, recomputable
-    bool pinned = false;  ///< survives anything (source / checkpoint snapshot)
-    std::size_t bytes = 0;
-    int executor = 0;
+  /// Nodes a graph task runs: members_[first, first + count); none for
+  /// transfers and fences.
+  struct TaskRef {
+    int first = 0;
+    int count = 0;
+    bool batch = false;
   };
 
-  int add_node(Node nd) {
-    nodes_.push_back(std::move(nd));
-    return static_cast<int>(nodes_.size() - 1);
+  std::size_t slot(gs::TileKey key) const {
+    return static_cast<std::size_t>(key.i) * static_cast<std::size_t>(cols_) +
+           static_cast<std::size_t>(key.j);
   }
 
-  int latest_node(gs::TileKey key) const { return latest_.at(key); }
+  sparklet::BlockId block_id(std::size_t s) const {
+    return {store_rdd_, static_cast<int>(s)};
+  }
 
   int executor_of_key(gs::TileKey key) const {
     return sc_.executor_of(part_->partition_of(sparklet::key_hash(key)));
   }
 
-  static const char* task_label(gs::KernelKind kind) {
-    switch (kind) {
-      case gs::KernelKind::A: return "ARecGE";
-      case gs::KernelKind::B:
-      case gs::KernelKind::C: return "BCRecGE";
-      case gs::KernelKind::D: return "DRecGE";
-    }
-    return "?";
-  }
-
-  static const char* kind_name(gs::KernelKind kind) {
-    switch (kind) {
-      case gs::KernelKind::A: return "A";
-      case gs::KernelKind::B: return "B";
-      case gs::KernelKind::C: return "C";
-      case gs::KernelKind::D: return "D";
-    }
-    return "?";
-  }
-
-  TileR run_kernel(const Node& nd) const {
-    auto in = [&](int id) -> TileR {
-      return id >= 0 ? nodes_[static_cast<std::size_t>(id)].out : nullptr;
-    };
-    if (nd.kind == gs::KernelKind::D && opt_.fused_d &&
-        kernels_->config().strassen_d) {
-      // Strassen reassociates sums, so per-tile recomputation must go
-      // through the same split the batch used. strassen_field_tile is
-      // tile-local, so a single-member batch reproduces the member's bits
-      // regardless of the original batch composition.
-      std::vector<gs::FusedDMember<T>> members{
-          {in(nd.self), in(nd.u), in(nd.v)}};
-      return gs::apply_fused_d_batch<Spec>(*kernels_, members, in(nd.w))[0];
-    }
-    return gs::apply_tile_kernel<Spec>(*kernels_, nd.kind, in(nd.self),
-                                       in(nd.u), in(nd.v), in(nd.w));
-  }
-
-  /// Execute one fused D batch task: per-member race-detector footprints are
-  /// unchanged from the per-tile path; only the kernel invocation coalesces.
-  void run_d_batch(const std::vector<int>& group, int k) {
-    obs::ScopedSpan kernel_span(&sc_.tracer(), obs::SpanLevel::kKernel,
-                                "Dbatch", k);
-    analysis::HbDetector* det = sc_.race_detector();
-    std::vector<gs::FusedDMember<T>> members;
-    members.reserve(group.size());
-    TileR w;
-    for (int id : group) {
-      const Node& nd = nodes_[static_cast<std::size_t>(id)];
-      if (det != nullptr) {
-        for (int dep : {nd.self, nd.u, nd.v, nd.w}) {
-          if (dep >= 0) {
-            det->on_read(analysis::HbDetector::tile_location(store_rdd_, dep),
-                         "tile");
-          }
-        }
-      }
-      auto in = [&](int nid) -> TileR {
-        return nid >= 0 ? nodes_[static_cast<std::size_t>(nid)].out : nullptr;
-      };
-      members.push_back({in(nd.self), in(nd.u), in(nd.v)});
-      if (nd.w >= 0) w = in(nd.w);
-    }
-    auto outs = gs::apply_fused_d_batch<Spec>(*kernels_, members, w);
-    for (std::size_t m = 0; m < group.size(); ++m) {
-      Node& nd = nodes_[static_cast<std::size_t>(group[m])];
-      nd.out = std::move(outs[m]);
-      if (det != nullptr) {
-        det->on_write(analysis::HbDetector::tile_location(store_rdd_, group[m]),
-                      "tile");
-      }
-    }
-  }
-
-  sparklet::BlockId block_id(gs::TileKey key) const {
-    return {store_rdd_, key.i * r_ + key.j};
-  }
-
-  gs::TileKey key_of_block(const sparklet::BlockId& id) const {
-    return {id.partition / r_, id.partition % r_};
+  int push_node(Node nd) {
+    int& latest = latest_.at(slot(nd.key));
+    if (latest < 0) live_.push_back(slot(nd.key));
+    nodes_.push_back(std::move(nd));
+    latest = static_cast<int>(nodes_.size() - 1);
+    return latest;
   }
 
   // --------------------- storage-tier block source ---------------------
@@ -284,24 +316,29 @@ class DataflowEngine : public sparklet::BlockSource {
   // cell — that is the only version register_carried_blocks tracks in the
   // executor store, so block ids map 1:1 onto latest_ entries.
 
+  /// Node holding the latest version behind block `id`, or -1.
+  int node_of_block(const sparklet::BlockId& id) const {
+    if (id.partition < 0 ||
+        static_cast<std::size_t>(id.partition) >= latest_.size()) {
+      return -1;
+    }
+    return latest_[static_cast<std::size_t>(id.partition)];
+  }
+
   std::optional<std::vector<std::uint8_t>> encode_block(
       const sparklet::BlockId& id) const override {
-    if (r_ == 0) return std::nullopt;
-    auto it = latest_.find(key_of_block(id));
-    if (it == latest_.end()) return std::nullopt;
-    const Node& nd = nodes_[static_cast<std::size_t>(it->second)];
-    if (nd.out == nullptr) return std::nullopt;
+    const int nid = node_of_block(id);
+    if (nid < 0 || node(nid).out == nullptr) return std::nullopt;
     sparklet::ByteBuffer raw;
-    sparklet::encode_item(raw, nd.out);
+    sparklet::encode_item(raw, node(nid).out);
     return sparklet::pack_payload(std::move(raw));
   }
 
   bool restore_block(const sparklet::BlockId& id,
                      const std::vector<std::uint8_t>& payload) override {
-    if (r_ == 0) return false;
-    auto it = latest_.find(key_of_block(id));
-    if (it == latest_.end()) return false;
-    Node& nd = nodes_[static_cast<std::size_t>(it->second)];
+    const int nid = node_of_block(id);
+    if (nid < 0) return false;
+    Node& nd = nodes_[static_cast<std::size_t>(nid)];
     if (nd.out != nullptr) return true;  // idempotent (concurrent readback)
     auto raw = sparklet::unpack_payload(payload);
     if (!raw) return false;
@@ -313,257 +350,174 @@ class DataflowEngine : public sparklet::BlockSource {
   }
 
   void release_block(const sparklet::BlockId& id) override {
-    if (r_ == 0) return;
-    auto it = latest_.find(key_of_block(id));
-    if (it == latest_.end()) return;
-    Node& nd = nodes_[static_cast<std::size_t>(it->second)];
+    const int nid = node_of_block(id);
+    if (nid < 0) return;
+    Node& nd = nodes_[static_cast<std::size_t>(nid)];
     if (!nd.pinned) nd.out.reset();
   }
 
   // ------------------------- segment execution -------------------------
 
-  void run_segment(int s, int e, const GridRanges& ranges) {
-    const int num_exec = sc_.config().num_executors();
-    const bool im = opt_.strategy == Strategy::kInMemory;
-
-    std::vector<sparklet::DataflowTaskSpec> specs;
-    std::vector<int> spec_node;  // node id per graph task, -1 for xfer/fence
-    std::unordered_map<int, std::vector<int>> batch_of_task;  // fused D members
-    std::unordered_map<int, int> task_of_node;
-    std::unordered_map<int, int> xfer_memo;  // producer*num_exec+dest → task
-    std::vector<int> fences;  // fence task per iteration offset (k - s)
-    std::size_t shuffle_bytes = 0;
-    std::vector<std::size_t> a_bytes(static_cast<std::size_t>(e - s), 0);
-    std::vector<std::size_t> bc_bytes(static_cast<std::size_t>(e - s), 0);
-
-    std::vector<int> iter_tasks;
-
-    // Route one data edge (producer node → consumer executor). Carried
-    // tiles from earlier segments are already resident — no edge needed. IM
-    // cross-executor edges go through a modeled transfer task (one per
-    // producer × destination, like a map output fetched once per reducer).
-    auto route = [&](int node_id, int consumer_exec, std::vector<int>& deps) {
-      auto it = task_of_node.find(node_id);
-      if (it == task_of_node.end()) return;
-      const int producer = it->second;
-      if (!im || specs[static_cast<std::size_t>(producer)].executor ==
-                     consumer_exec) {
-        deps.push_back(producer);
-        return;
-      }
-      const int memo_key = producer * num_exec + consumer_exec;
-      auto mit = xfer_memo.find(memo_key);
-      if (mit != xfer_memo.end()) {
-        deps.push_back(mit->second);
-        return;
-      }
-      const Node& src = nodes_[static_cast<std::size_t>(node_id)];
-      const std::size_t bytes = src.bytes;
-      sparklet::DataflowTaskSpec t;
-      t.label = "shuffleXfer";
-      t.deps = {producer};
-      t.executor = consumer_exec;
-      t.category = sparklet::TimeCategory::kShuffle;
-      t.transfer = true;
-      t.gep_kind = 'X';
-      t.gep_k = src.k;
-      t.tile_i = src.key.i;
-      t.tile_j = src.key.j;
-      t.model_s = sc_.config().network.latency_s +
-                  static_cast<double>(bytes) /
-                      sc_.config().network.bandwidth_Bps;
-      shuffle_bytes += bytes;
-      specs.push_back(std::move(t));
-      spec_node.push_back(-1);
-      const int idx = static_cast<int>(specs.size() - 1);
-      iter_tasks.push_back(idx);
-      xfer_memo.emplace(memo_key, idx);
-      deps.push_back(idx);
-    };
-
-    auto add_task = [&](int node_id, int k) {
-      const Node& nd = nodes_[static_cast<std::size_t>(node_id)];
-      sparklet::DataflowTaskSpec t;
-      t.label = task_label(nd.kind);
-      t.executor = nd.executor;
-      t.gep_kind = kind_name(nd.kind)[0];
-      t.gep_k = k;
-      t.tile_i = nd.key.i;
-      t.tile_j = nd.key.j;
-      route(nd.self, nd.executor, t.deps);
-      route(nd.u, nd.executor, t.deps);
-      route(nd.v, nd.executor, t.deps);
-      if (nd.w >= 0 && nd.w != nd.u && nd.w != nd.v) {
-        route(nd.w, nd.executor, t.deps);
-      }
-      // Pivot lookahead: iteration k may not start before the fence of
-      // iteration k - lookahead - 1 (when that fence is in this segment).
-      const int gate = k - opt_.effective_lookahead() - 1;
-      if (gate >= s) t.deps.push_back(fences[static_cast<std::size_t>(gate - s)]);
-      specs.push_back(std::move(t));
-      spec_node.push_back(node_id);
-      const int idx = static_cast<int>(specs.size() - 1);
-      task_of_node.emplace(node_id, idx);
-      iter_tasks.push_back(idx);
-    };
-
-    // Fused D: ONE task per (executor, k) covering every trailing tile that
-    // executor owns at step k. The spec keeps per-tile identity in `batch`
-    // (union footprint for ScheduleChecker), deps are the deduped union of
-    // the members' routed edges, and downstream consumers of any member
-    // route to the batch task. Nodes/lineage stay per-tile.
-    auto add_batch_task = [&](const std::vector<int>& group, int exec, int k) {
-      sparklet::DataflowTaskSpec t;
-      t.label = "DBatchGE";
-      t.executor = exec;
-      t.gep_kind = 'D';
-      t.gep_k = k;
-      for (int node_id : group) {
-        const Node& nd = nodes_[static_cast<std::size_t>(node_id)];
-        t.batch.push_back({nd.key.i, nd.key.j});
-        route(nd.self, exec, t.deps);
-        route(nd.u, exec, t.deps);
-        route(nd.v, exec, t.deps);
-        if (nd.w >= 0 && nd.w != nd.u && nd.w != nd.v) {
-          route(nd.w, exec, t.deps);
-        }
-      }
-      std::sort(t.deps.begin(), t.deps.end());
-      t.deps.erase(std::unique(t.deps.begin(), t.deps.end()), t.deps.end());
-      const int gate = k - opt_.effective_lookahead() - 1;
-      if (gate >= s) t.deps.push_back(fences[static_cast<std::size_t>(gate - s)]);
-      specs.push_back(std::move(t));
-      spec_node.push_back(-1);
-      const int idx = static_cast<int>(specs.size() - 1);
-      batch_of_task.emplace(idx, group);
-      for (int node_id : group) task_of_node.emplace(node_id, idx);
-      iter_tasks.push_back(idx);
-    };
+  void run_segment(int s, int e) {
+    seg_start_ = s;
+    seg_first_node_ = static_cast<int>(nodes_.size());
+    specs_.clear();
+    tasks_.clear();
+    members_.clear();
+    xfer_memo_.clear();
+    fences_.clear();
+    shuffle_bytes_ = 0;
+    cb_bytes_.assign(static_cast<std::size_t>(e - s), {0, 0});
 
     for (int k = s; k < e; ++k) {
-      iter_tasks.clear();
-      const gs::TileKey pivot{k, k};
-      Node a;
-      a.kind = gs::KernelKind::A;
-      a.k = k;
-      a.key = pivot;
-      a.self = latest_node(pivot);
-      a.bytes = nodes_[static_cast<std::size_t>(a.self)].bytes;
-      a.executor = executor_of_key(pivot);
-      const int a_node = add_node(std::move(a));
-      add_task(a_node, k);
-      latest_[pivot] = a_node;
-      a_bytes[static_cast<std::size_t>(k - s)] =
-          nodes_[static_cast<std::size_t>(a_node)].bytes;
-
-      for (const auto& key : ranges.b_keys(k)) {
-        Node b;
-        b.kind = gs::KernelKind::B;
-        b.k = k;
-        b.key = key;
-        b.self = latest_node(key);
-        b.u = a_node;
-        if (kUsesW) b.w = a_node;
-        b.bytes = nodes_[static_cast<std::size_t>(b.self)].bytes;
-        b.executor = executor_of_key(key);
-        const int id = add_node(std::move(b));
-        add_task(id, k);
-        latest_[key] = id;
-        bc_bytes[static_cast<std::size_t>(k - s)] +=
-            nodes_[static_cast<std::size_t>(id)].bytes;
-      }
-      for (const auto& key : ranges.c_keys(k)) {
-        Node c;
-        c.kind = gs::KernelKind::C;
-        c.k = k;
-        c.key = key;
-        c.self = latest_node(key);
-        c.v = a_node;
-        if (kUsesW) c.w = a_node;
-        c.bytes = nodes_[static_cast<std::size_t>(c.self)].bytes;
-        c.executor = executor_of_key(key);
-        const int id = add_node(std::move(c));
-        add_task(id, k);
-        latest_[key] = id;
-        bc_bytes[static_cast<std::size_t>(k - s)] +=
-            nodes_[static_cast<std::size_t>(id)].bytes;
-      }
-      std::map<int, std::vector<int>> d_groups;  // executor → member nodes
-      for (const auto& key : ranges.d_keys(k)) {
-        Node d;
-        d.kind = gs::KernelKind::D;
-        d.k = k;
-        d.key = key;
-        d.self = latest_node(key);
-        d.u = latest_node({key.i, k});  // post-C pivot column
-        d.v = latest_node({k, key.j});  // post-B pivot row
-        if (kUsesW) d.w = a_node;
-        d.bytes = nodes_[static_cast<std::size_t>(d.self)].bytes;
-        d.executor = executor_of_key(key);
-        const int id = add_node(std::move(d));
-        if (opt_.fused_d) {
-          d_groups[nodes_[static_cast<std::size_t>(id)].executor].push_back(id);
-        } else {
-          add_task(id, k);
-        }
-        latest_[key] = id;
-      }
-      for (const auto& [exec, group] : d_groups) add_batch_task(group, exec, k);
-
-      // Zero-cost fence summarizing iteration k, the lookahead anchor.
+      step_tasks_.clear();
+      planner_.emit(*this, k);
+      // Zero-cost fence summarizing step k, the lookahead anchor.
       sparklet::DataflowTaskSpec f;
       f.label = "fence";
-      f.deps = iter_tasks;
+      f.deps = step_tasks_;
       f.transfer = true;  // exempt from chaos/metrics, zero modeled cost
       f.gep_kind = 'F';
       f.gep_k = k;
-      specs.push_back(std::move(f));
-      spec_node.push_back(-1);
-      fences.push_back(static_cast<int>(specs.size() - 1));
+      specs_.push_back(std::move(f));
+      tasks_.push_back({});
+      fences_.push_back(static_cast<int>(specs_.size() - 1));
     }
 
-    obs::Tracer* tr = &sc_.tracer();
-    auto body = [&](int ti) {
-      const int node_id = spec_node[static_cast<std::size_t>(ti)];
-      if (node_id < 0) {
-        auto bit = batch_of_task.find(ti);
-        if (bit == batch_of_task.end()) return;  // transfer or fence
-        run_d_batch(bit->second, specs[static_cast<std::size_t>(ti)].gep_k);
-        return;
-      }
-      Node& nd = nodes_[static_cast<std::size_t>(node_id)];
-      obs::ScopedSpan kernel_span(tr, obs::SpanLevel::kKernel,
-                                  kind_name(nd.kind), nd.k);
-      if (analysis::HbDetector* det = sc_.race_detector()) {
-        for (int dep : {nd.self, nd.u, nd.v, nd.w}) {
-          if (dep >= 0) {
-            det->on_read(analysis::HbDetector::tile_location(store_rdd_, dep),
-                         "tile");
+    const bool im = opt_.strategy == Strategy::kInMemory;
+    if (graph_log_ != nullptr) graph_log_->push_back(specs_);
+    sc_.run_task_graph(planner_.graph_name(s, e - 1), specs_,
+                       [this](int ti) { run_task(ti); },
+                       im ? shuffle_bytes_ : 0);
+
+    if (!im) {
+      // CB ships each step's outputs through the driver: collect + shared-
+      // storage broadcast per step and charge group (GEP: the pivot, then
+      // the B/C pivot sets; nested: the whole wave).
+      for (const auto& groups : cb_bytes_) {
+        for (std::size_t bytes : groups) {
+          if (bytes > 0) {
+            sc_.charge_collect(bytes);
+            sc_.charge_broadcast(bytes);
           }
         }
       }
-      nd.out = run_kernel(nd);
-      if (analysis::HbDetector* det = sc_.race_detector()) {
-        det->on_write(analysis::HbDetector::tile_location(store_rdd_, node_id),
-                      "tile");
-      }
-    };
-    if (graph_log_ != nullptr) graph_log_->push_back(specs);
-    sc_.run_task_graph(gs::strfmt("dataflow(k=%d..%d)", s, e - 1), specs, body,
-                       im ? shuffle_bytes : 0);
+    }
+  }
 
-    if (!im) {
-      // CB ships pivots through the driver: collect + shared-storage
-      // broadcast per iteration for A and for the B/C pivot sets.
-      for (int k = s; k < e; ++k) {
-        const std::size_t ab = a_bytes[static_cast<std::size_t>(k - s)];
-        const std::size_t bcb = bc_bytes[static_cast<std::size_t>(k - s)];
-        sc_.charge_collect(ab);
-        sc_.charge_broadcast(ab);
-        if (bcb > 0) {
-          sc_.charge_collect(bcb);
-          sc_.charge_broadcast(bcb);
-        }
+  int push_task(sparklet::DataflowTaskSpec t, TaskRef ref) {
+    specs_.push_back(std::move(t));
+    tasks_.push_back(ref);
+    const int idx = static_cast<int>(specs_.size() - 1);
+    step_tasks_.push_back(idx);
+    return idx;
+  }
+
+  /// Pivot lookahead: step k may not start before the fence of step
+  /// k - lookahead - 1 (when that fence is in this segment).
+  void gate(int k, std::vector<int>& deps) const {
+    const int fence = k - opt_.effective_lookahead() - 1;
+    if (fence >= seg_start_) {
+      deps.push_back(fences_[static_cast<std::size_t>(fence - seg_start_)]);
+    }
+  }
+
+  /// Route every distinct dep of `nd` to a task on `consumer_exec`.
+  void route_deps(const Node& nd, int consumer_exec, std::vector<int>& deps) {
+    const std::span<const int> ds = this->deps(nd);
+    for (auto it = ds.begin(); it != ds.end(); ++it) {
+      if (std::find(ds.begin(), it, *it) == it) route(*it, consumer_exec, deps);
+    }
+  }
+
+  /// Route one data edge (producer node → consumer executor). Tiles carried
+  /// from earlier segments are already resident — no edge needed. IM
+  /// cross-executor edges go through a modeled transfer task (one per
+  /// producer × destination).
+  void route(int node_id, int consumer_exec, std::vector<int>& deps) {
+    const Node& src = node(node_id);
+    if (node_id < seg_first_node_ || src.task < 0) return;
+    const int producer = src.task;
+    if (opt_.strategy != Strategy::kInMemory ||
+        specs_[static_cast<std::size_t>(producer)].executor == consumer_exec) {
+      deps.push_back(producer);
+      return;
+    }
+    const int memo_key =
+        producer * sc_.config().num_executors() + consumer_exec;
+    auto mit = xfer_memo_.find(memo_key);
+    if (mit != xfer_memo_.end()) {
+      deps.push_back(mit->second);
+      return;
+    }
+    sparklet::DataflowTaskSpec t;
+    t.label = "shuffleXfer";
+    t.deps = {producer};
+    t.executor = consumer_exec;
+    t.category = sparklet::TimeCategory::kShuffle;
+    t.transfer = true;
+    t.gep_kind = 'X';
+    t.gep_k = src.k;
+    t.tile_i = src.key.i;
+    t.tile_j = src.key.j;
+    t.model_s = sc_.config().network.latency_s +
+                static_cast<double>(src.bytes) /
+                    sc_.config().network.bandwidth_Bps;
+    shuffle_bytes_ += src.bytes;
+    const int idx = push_task(std::move(t), {});
+    xfer_memo_.emplace(memo_key, idx);
+    deps.push_back(idx);
+  }
+
+  void run_task(int ti) {
+    const TaskRef& ref = tasks_[static_cast<std::size_t>(ti)];
+    if (ref.count == 0) return;  // transfer or fence
+    if (ref.batch) {
+      run_batch(std::span<const int>(members_).subspan(
+                    static_cast<std::size_t>(ref.first),
+                    static_cast<std::size_t>(ref.count)),
+                specs_[static_cast<std::size_t>(ti)].gep_k);
+    } else {
+      run_node(members_[static_cast<std::size_t>(ref.first)]);
+    }
+  }
+
+  void note_reads(const Node& nd) {
+    if (analysis::HbDetector* det = sc_.race_detector()) {
+      for (int dep : deps(nd)) {
+        det->on_read(analysis::HbDetector::tile_location(store_rdd_, dep),
+                     "tile");
+      }
+    }
+  }
+
+  void note_write(int id) {
+    if (analysis::HbDetector* det = sc_.race_detector()) {
+      det->on_write(analysis::HbDetector::tile_location(store_rdd_, id),
+                    "tile");
+    }
+  }
+
+  void run_node(int id) {
+    Node& nd = nodes_[static_cast<std::size_t>(id)];
+    obs::ScopedSpan kernel_span(&sc_.tracer(), obs::SpanLevel::kKernel,
+                                std::string_view(&nd.kind, 1), nd.k);
+    note_reads(nd);
+    nd.out = planner_.compute(*this, nd);
+    note_write(id);
+  }
+
+  /// Execute one batch task: per-member race-detector footprints are
+  /// unchanged from the per-node path; only the kernel invocation coalesces.
+  void run_batch(std::span<const int> group, int k) {
+    if constexpr (requires { planner_.compute_batch(*this, group); }) {
+      obs::ScopedSpan kernel_span(&sc_.tracer(), obs::SpanLevel::kKernel,
+                                  Planner::kBatchSpan, k);
+      for (int id : group) note_reads(node(id));
+      auto outs = planner_.compute_batch(*this, group);
+      for (std::size_t m = 0; m < group.size(); ++m) {
+        nodes_[static_cast<std::size_t>(group[m])].out = std::move(outs[m]);
+        note_write(group[m]);
       }
     }
   }
@@ -577,11 +531,9 @@ class DataflowEngine : public sparklet::BlockSource {
   void recover_carried(int seg_index) {
     const sparklet::ChaosPlan& chaos = sc_.chaos_plan();
     std::vector<int> unpinned;
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        const int id = latest_node({i, j});
-        if (!nodes_[static_cast<std::size_t>(id)].pinned) unpinned.push_back(id);
-      }
+    for (std::size_t s : live_) {
+      const int id = latest_[s];
+      if (!node(id).pinned) unpinned.push_back(id);
     }
     if (chaos.fetch_failure_prob > 0.0 && !unpinned.empty()) {
       gs::Rng rng(sparklet::chaos_event_seed(
@@ -592,7 +544,7 @@ class DataflowEngine : public sparklet::BlockSource {
         Node& nd = nodes_[static_cast<std::size_t>(
             unpinned[rng.uniform_u64(unpinned.size())])];
         nd.out.reset();
-        sc_.executor_store().remove_block(block_id(nd.key));
+        sc_.executor_store().remove_block(block_id(slot(nd.key)));
         sc_.metrics().note_fetch_failure();
         sc_.metrics().note_partitions_dropped(1);
         sc_.timeline().add_marker("fetch-failure");
@@ -603,28 +555,27 @@ class DataflowEngine : public sparklet::BlockSource {
     }
     for (int id : unpinned) {
       Node& nd = nodes_[static_cast<std::size_t>(id)];
-      if (nd.out != nullptr && !sc_.executor_store().has_block(block_id(nd.key))) {
+      if (nd.out != nullptr &&
+          !sc_.executor_store().has_block(block_id(slot(nd.key)))) {
         nd.out.reset();  // lost to a kill or an eviction
         sc_.metrics().note_partitions_dropped(1);
       }
     }
-    restore_latest_outs();
+    restore_live_outs();
   }
 
   /// Bring every latest tile back in memory: readback first (a demoted copy
   /// on the serialized or disk tier restores the tile without touching
   /// lineage), recomputation for anything genuinely lost.
-  void restore_latest_outs() {
+  void restore_live_outs() {
     gs::Stopwatch sw;
     int recomputed = 0;
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        const int id = latest_node({i, j});
-        if (nodes_[static_cast<std::size_t>(id)].out == nullptr) {
-          sc_.try_block_readback(block_id({i, j}));
-        }
-        recomputed += recompute_now(id);
+    for (std::size_t s : live_) {
+      const int id = latest_[s];
+      if (node(id).out == nullptr) {
+        sc_.try_block_readback(block_id(s));
       }
+      recomputed += recompute_now(id);
     }
     sc_.flush_storage_charges();
     if (recomputed > 0) {
@@ -637,31 +588,19 @@ class DataflowEngine : public sparklet::BlockSource {
   }
 
   /// Re-run the pure kernel chain for a lost tile version. Inputs recurse;
-  /// the chain bottoms out at sources or checkpoint snapshots (pinned, out
-  /// always present). Purity ⇒ the recomputed tile is bit-identical.
+  /// the chain bottoms out at inputs, dep-free nodes, or checkpoint
+  /// snapshots (pinned, out always present). Purity ⇒ bit-identical.
   int recompute_now(int id) {
     Node& nd = nodes_[static_cast<std::size_t>(id)];
     if (nd.out != nullptr) return 0;
-    GS_CHECK_MSG(!nd.source, "source tile cannot be lost");
+    GS_CHECK_MSG(nd.k >= 0, "source tile cannot be lost");
     int count = 0;
-    for (int dep : {nd.self, nd.u, nd.v, nd.w}) {
-      if (dep >= 0) count += recompute_now(dep);
-    }
-    if (analysis::HbDetector* det = sc_.race_detector()) {
-      // Driver-side lineage recomputation between graphs: reads the dep
-      // versions and rewrites this one, all in the current driver era.
-      for (int dep : {nd.self, nd.u, nd.v, nd.w}) {
-        if (dep >= 0) {
-          det->on_read(analysis::HbDetector::tile_location(store_rdd_, dep),
-                       "tile");
-        }
-      }
-    }
-    nd.out = run_kernel(nd);
-    if (analysis::HbDetector* det = sc_.race_detector()) {
-      det->on_write(analysis::HbDetector::tile_location(store_rdd_, id),
-                    "tile");
-    }
+    for (int dep : deps(nd)) count += recompute_now(dep);
+    // Driver-side lineage recomputation between graphs: reads the dep
+    // versions and rewrites this one, all in the current driver era.
+    note_reads(nd);
+    nd.out = planner_.compute(*this, nd);
+    note_write(id);
     return count + 1;
   }
 
@@ -669,19 +608,17 @@ class DataflowEngine : public sparklet::BlockSource {
   /// blocks in the executor store, giving kills and memory pressure
   /// something concrete to lose.
   void register_carried_blocks() {
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        const Node& nd = nodes_[static_cast<std::size_t>(latest_node({i, j}))];
-        if (nd.pinned) continue;
-        try {
-          sc_.executor_store().put_block(nd.executor, block_id(nd.key),
-                                         nd.bytes, /*checksum=*/0,
-                                         /*pinned=*/false, opt_.storage_level);
-        } catch (const gs::CapacityError&) {
-          // Executor memory is full even after demotion down the storage
-          // ladder: the tile goes untracked and will be recomputed next
-          // segment (graceful degradation, like MEMORY_ONLY caching).
-        }
+    for (std::size_t s : live_) {
+      const Node& nd = node(latest_[s]);
+      if (nd.pinned) continue;
+      try {
+        sc_.executor_store().put_block(nd.executor, block_id(s), nd.bytes,
+                                       /*checksum=*/0, /*pinned=*/false,
+                                       opt_.storage_level);
+      } catch (const gs::CapacityError&) {
+        // Executor memory is full even after demotion down the storage
+        // ladder: the tile goes untracked and will be recomputed next
+        // segment (graceful degradation, like MEMORY_ONLY caching).
       }
     }
     sc_.flush_storage_charges();
@@ -697,44 +634,42 @@ class DataflowEngine : public sparklet::BlockSource {
     const int max_attempts = std::max(1, chaos.max_stage_attempts);
     double io_s = 0.0;
     int recomputed = 0;
-    for (int i = 0; i < r_; ++i) {
-      for (int j = 0; j < r_; ++j) {
-        const int id = latest_node({i, j});
-        Node& nd = nodes_[static_cast<std::size_t>(id)];
-        if (nd.pinned) continue;  // already snapshotted (untouched tile)
-        const sparklet::BlockId bid = block_id(nd.key);
-        std::uint64_t sum_state = static_cast<std::uint64_t>(id) ^
-                                  (static_cast<std::uint64_t>(store_rdd_) << 32);
-        const std::uint64_t sum = gs::splitmix64(sum_state);
-        for (int attempt = 1;; ++attempt) {
-          std::uint64_t stored = sum;
-          if (sc_.chaos_corrupt_block(static_cast<std::uint64_t>(store_rdd_),
-                                      static_cast<std::uint64_t>(bid.partition),
-                                      static_cast<std::uint64_t>(attempt))) {
-            stored ^= 0xbad0bad0bad0bad0ULL;
-          }
-          io_s += sc_.shared_fs().put_block(0, bid, nd.bytes, stored,
-                                            /*pinned=*/true);
-          io_s += sc_.shared_fs().read(0, nd.bytes);  // verification read-back
-          if (sc_.shared_fs().verify_block(bid, sum)) {
-            sc_.metrics().note_checkpoint_block(nd.bytes);
-            break;
-          }
-          // Corrupted write: treat the tile as lost, heal through lineage,
-          // write again.
-          sc_.metrics().note_corrupted_block();
-          sc_.timeline().add_marker("checkpoint-corruption");
-          sc_.shared_fs().remove_block(bid);
-          GS_THROW_IF(attempt >= max_attempts, gs::JobAbortedError,
-                      gs::strfmt("checkpoint block (%d,%d) failed "
-                                 "verification %d times",
-                                 store_rdd_, bid.partition, attempt));
-          nd.out.reset();
-          sc_.metrics().note_partitions_dropped(1);
-          recomputed += recompute_now(id);
+    for (std::size_t s : live_) {
+      const int id = latest_[s];
+      Node& nd = nodes_[static_cast<std::size_t>(id)];
+      if (nd.pinned) continue;  // already snapshotted (untouched tile)
+      const sparklet::BlockId bid = block_id(s);
+      std::uint64_t sum_state = static_cast<std::uint64_t>(id) ^
+                                (static_cast<std::uint64_t>(store_rdd_) << 32);
+      const std::uint64_t sum = gs::splitmix64(sum_state);
+      for (int attempt = 1;; ++attempt) {
+        std::uint64_t stored = sum;
+        if (sc_.chaos_corrupt_block(static_cast<std::uint64_t>(store_rdd_),
+                                    static_cast<std::uint64_t>(bid.partition),
+                                    static_cast<std::uint64_t>(attempt))) {
+          stored ^= 0xbad0bad0bad0bad0ULL;
         }
-        nd.pinned = true;
+        io_s += sc_.shared_fs().put_block(0, bid, nd.bytes, stored,
+                                          /*pinned=*/true);
+        io_s += sc_.shared_fs().read(0, nd.bytes);  // verification read-back
+        if (sc_.shared_fs().verify_block(bid, sum)) {
+          sc_.metrics().note_checkpoint_block(nd.bytes);
+          break;
+        }
+        // Corrupted write: treat the tile as lost, heal through lineage,
+        // write again.
+        sc_.metrics().note_corrupted_block();
+        sc_.timeline().add_marker("checkpoint-corruption");
+        sc_.shared_fs().remove_block(bid);
+        GS_THROW_IF(attempt >= max_attempts, gs::JobAbortedError,
+                    gs::strfmt("checkpoint block (%d,%d) failed "
+                               "verification %d times",
+                               store_rdd_, bid.partition, attempt));
+        nd.out.reset();
+        sc_.metrics().note_partitions_dropped(1);
+        recomputed += recompute_now(id);
       }
+      nd.pinned = true;
     }
     sc_.timeline().add_serial("checkpoint", io_s,
                               sparklet::TimeCategory::kRecovery);
@@ -754,20 +689,18 @@ class DataflowEngine : public sparklet::BlockSource {
     snap.nodes.reserve(nodes_.size());
     for (const Node& nd : nodes_) {
       analysis::LineageRecord rec;
-      rec.label = nd.source
-                      ? gs::strfmt("input(%d,%d)", nd.key.i, nd.key.j)
-                      : gs::strfmt("%s(%d,%d)@k=%d", kind_name(nd.kind),
-                                   nd.key.i, nd.key.j, nd.k);
+      rec.label = nd.k < 0 ? gs::strfmt("input(%d,%d)", nd.key.i, nd.key.j)
+                           : gs::strfmt("%c(%d,%d)@%c=%d", nd.kind, nd.key.i,
+                                        nd.key.j, Planner::kStepName, nd.k);
       rec.k = nd.k;
       rec.pinned = nd.pinned;
-      rec.source = nd.source;
-      for (int dep : {nd.self, nd.u, nd.v, nd.w}) {
-        if (dep >= 0) rec.deps.push_back(dep);
-      }
+      rec.source = nd.dep_count == 0;
+      const std::span<const int> ds = deps(nd);
+      rec.deps.assign(ds.begin(), ds.end());
       snap.nodes.push_back(std::move(rec));
     }
-    snap.live.reserve(latest_.size());
-    for (const auto& [key, id] : latest_) snap.live.push_back(id);
+    snap.live.reserve(live_.size());
+    for (std::size_t s : live_) snap.live.push_back(latest_[s]);
     std::sort(snap.live.begin(), snap.live.end());
     lineage_log_->push_back(std::move(snap));
   }
@@ -777,8 +710,8 @@ class DataflowEngine : public sparklet::BlockSource {
   /// them again).
   void drop_stale_outs() {
     std::vector<char> is_latest(nodes_.size(), 0);
-    for (const auto& [key, id] : latest_) {
-      is_latest[static_cast<std::size_t>(id)] = 1;
+    for (std::size_t s : live_) {
+      is_latest[static_cast<std::size_t>(latest_[s])] = 1;
     }
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       if (!is_latest[i] && !nodes_[i].pinned) nodes_[i].out.reset();
@@ -787,15 +720,258 @@ class DataflowEngine : public sparklet::BlockSource {
 
   sparklet::SparkContext& sc_;
   const SolverOptions& opt_;
-  std::shared_ptr<const gs::GepKernels<Spec>> kernels_;
+  Planner planner_;
   sparklet::PartitionerPtr part_;
   const int store_rdd_;  ///< block/chaos namespace for this engine
-  int r_ = 0;
+  const int cols_;
 
   std::vector<Node> nodes_;
-  std::unordered_map<gs::TileKey, int, gs::TileKeyHash> latest_;
+  std::vector<int> dep_pool_;
+  std::vector<int> latest_;  ///< node id per slot (i * cols + j), -1 = none
+  std::vector<std::size_t> live_;  ///< occupied slots, first-insertion order
+
+  // Graph of the segment being built and run.
+  int seg_start_ = 0;
+  int seg_first_node_ = 0;
+  std::vector<sparklet::DataflowTaskSpec> specs_;
+  std::vector<TaskRef> tasks_;
+  std::vector<int> members_;
+  std::unordered_map<int, int> xfer_memo_;  ///< producer*num_exec+dest → task
+  std::vector<int> fences_;                 ///< fence task per step offset
+  std::vector<int> step_tasks_;             ///< tasks of the step being emitted
+  std::vector<std::array<std::size_t, 2>> cb_bytes_;  ///< per step, per group
+  std::size_t shuffle_bytes_ = 0;
+
   std::vector<std::vector<sparklet::DataflowTaskSpec>>* graph_log_ = nullptr;
   std::vector<analysis::LineageSnapshot>* lineage_log_ = nullptr;
 };
+
+/// GEP planner: iteration k emits
+///
+///   A(k,k):  self = latest (k,k)
+///   B(k,j):  self = latest (k,j),  u = A(k,k)   [+ w = A iff Spec::kUsesW]
+///   C(i,k):  self = latest (i,k),  v = A(k,k)   [+ w = A]
+///   D(i,j):  self = latest (i,j),  u = C(i,k), v = B(k,j)   [+ w = A]
+///
+/// so the latest writer of a tile at iteration k is the `self` input of its
+/// next writer, and most D tiles of iteration k overlap A/B/C of k+1 ("pivot
+/// lookahead"). This is exactly the barrier drivers' call graph — same
+/// kernels, same input versions. Under fused_d each executor's D tiles of
+/// one iteration run as a single "DBatchGE" task.
+template <gs::GepSpecType Spec>
+class GepPlanner {
+ public:
+  using T = typename Spec::value_type;
+  using TileR = gs::TileRef<T>;
+  struct Payload {};
+  static constexpr char kStepName = 'k';
+  static constexpr const char* kBatchLabel = "DBatchGE";
+  static constexpr const char* kBatchSpan = "Dbatch";
+
+  GepPlanner(std::shared_ptr<const gs::GepKernels<Spec>> kernels,
+             const gs::TileGrid<T>& grid)
+      : kernels_(std::move(kernels)),
+        grid_(grid),
+        r_(static_cast<int>(grid.layout().r)),
+        ranges_(r_, Spec::kStrictSigma) {}
+
+  int grid_rows() const { return r_; }
+  int grid_cols() const { return r_; }
+  int steps() const { return r_; }
+  std::string graph_name(int first, int last) const {
+    return gs::strfmt("dataflow(k=%d..%d)", first, last);
+  }
+  static const char* task_label(char kind) {
+    switch (kind) {
+      case 'A': return "ARecGE";
+      case 'B':
+      case 'C': return "BCRecGE";
+      default: return "DRecGE";
+    }
+  }
+  /// CB ships the pivot (group 0) and the B/C pivot sets (group 1) through
+  /// the driver each iteration; D outputs stay on their executors.
+  static int cb_group(char kind) {
+    return kind == 'A' ? 0 : kind == 'D' ? -1 : 1;
+  }
+  analysis::ScheduleWorkload workload() const {
+    return analysis::make_schedule_workload<Spec>(r_);
+  }
+
+  /// The input tiles, row-major. Pinned — the driver holds the input.
+  template <typename Engine>
+  void add_inputs(Engine& eng) const {
+    for (int i = 0; i < r_; ++i) {
+      for (int j = 0; j < r_; ++j) {
+        eng.add_input({i, j}, grid_.at(static_cast<std::size_t>(i),
+                                       static_cast<std::size_t>(j)));
+      }
+    }
+  }
+
+  template <typename Engine>
+  void emit(Engine& eng, int k) const {
+    // Deps are {self, u, v, w}; compute() reads them back by kind.
+    auto add = [&](gs::TileKey key, char kind, int u, int v, int w) {
+      const int self = eng.latest(key);
+      return eng.add_node(key, kind, k, eng.node(self).bytes,
+                          std::array{self, u, v, w});
+    };
+    const gs::TileKey pivot{k, k};
+    const int a = add(pivot, 'A', -1, -1, -1);
+    eng.add_task(a);
+    const int w = Spec::kUsesW ? a : -1;
+    for (const auto& key : ranges_.b_keys(k)) {
+      eng.add_task(add(key, 'B', a, -1, w));
+    }
+    for (const auto& key : ranges_.c_keys(k)) {
+      eng.add_task(add(key, 'C', -1, a, w));
+    }
+    std::map<int, std::vector<int>> batches;  // executor → fused D members
+    for (const auto& key : ranges_.d_keys(k)) {
+      const int id = add(key, 'D', eng.latest({key.i, k}),  // post-C column
+                         eng.latest({k, key.j}), w);         // post-B row
+      if (eng.options().fused_d) {
+        batches[eng.node(id).executor].push_back(id);
+      } else {
+        eng.add_task(id);
+      }
+    }
+    for (const auto& [exec, group] : batches) eng.add_batch_task(group, exec);
+  }
+
+  template <typename Engine>
+  TileR compute(const Engine& eng, const typename Engine::Node& nd) const {
+    const auto ds = eng.deps(nd);
+    auto in = [&](std::size_t i) -> TileR {
+      return i < ds.size() ? eng.node(ds[i]).out : nullptr;
+    };
+    switch (nd.kind) {
+      case 'A':
+        return gs::apply_tile_kernel<Spec>(*kernels_, gs::KernelKind::A, in(0),
+                                           nullptr, nullptr, nullptr);
+      case 'B':
+        return gs::apply_tile_kernel<Spec>(*kernels_, gs::KernelKind::B, in(0),
+                                           in(1), nullptr, in(2));
+      case 'C':
+        return gs::apply_tile_kernel<Spec>(*kernels_, gs::KernelKind::C, in(0),
+                                           nullptr, in(1), in(2));
+      default:
+        break;
+    }
+    if (eng.options().fused_d && kernels_->config().strassen_d) {
+      // Strassen reassociates sums, so per-tile recomputation must go
+      // through the same split the batch used. strassen_field_tile is
+      // tile-local, so a single-member batch reproduces the member's bits
+      // regardless of the original batch composition.
+      std::vector<gs::FusedDMember<T>> members{{in(0), in(1), in(2)}};
+      return gs::apply_fused_d_batch<Spec>(*kernels_, members, in(3))[0];
+    }
+    return gs::apply_tile_kernel<Spec>(*kernels_, gs::KernelKind::D, in(0),
+                                       in(1), in(2), in(3));
+  }
+
+  /// Fused D: every member against one shared panel pack.
+  template <typename Engine>
+  std::vector<TileR> compute_batch(const Engine& eng,
+                                   std::span<const int> group) const {
+    std::vector<gs::FusedDMember<T>> members;
+    members.reserve(group.size());
+    TileR w;
+    for (int id : group) {
+      const auto ds = eng.deps(eng.node(id));
+      members.push_back(
+          {eng.node(ds[0]).out, eng.node(ds[1]).out, eng.node(ds[2]).out});
+      if (ds.size() > 3) w = eng.node(ds[3]).out;
+    }
+    return gs::apply_fused_d_batch<Spec>(*kernels_, members, w);
+  }
+
+  template <typename Engine>
+  gs::Matrix<T> finish(const Engine& eng) const {
+    std::vector<std::pair<gs::TileKey, TileR>> entries;
+    entries.reserve(static_cast<std::size_t>(r_ * r_));
+    for (int i = 0; i < r_; ++i) {
+      for (int j = 0; j < r_; ++j) {
+        const auto& nd = eng.node(eng.latest({i, j}));
+        GS_CHECK_MSG(nd.out != nullptr, "final tile missing");
+        entries.push_back({nd.key, nd.out});
+      }
+    }
+    return gs::TileGrid<T>::from_entries(grid_.layout(), entries).gather();
+  }
+
+ private:
+  std::shared_ptr<const gs::GepKernels<Spec>> kernels_;
+  const gs::TileGrid<T>& grid_;
+  int r_;
+  GridRanges ranges_;
+};
+
+/// Run `planner` through the dataflow engine with the analysis options
+/// wired in: --audit-recovery audits the logged lineage snapshots and
+/// --validate-schedule checks every emitted graph against the planner's
+/// symbolic workload; either failure throws after the solve.
+template <typename Planner>
+auto solve_dataflow(sparklet::SparkContext& sc, const SolverOptions& opt,
+                    Planner planner, sparklet::PartitionerPtr part) {
+  DataflowEngine<Planner> engine(sc, opt, std::move(planner), std::move(part));
+  std::vector<std::vector<sparklet::DataflowTaskSpec>> graph_log;
+  if (opt.validate_schedule) engine.set_graph_log(&graph_log);
+  std::vector<analysis::LineageSnapshot> lineage_log;
+  if (opt.audit_recovery) engine.set_lineage_log(&lineage_log);
+  auto result = engine.solve();
+  if (opt.audit_recovery) {
+    const analysis::RecoveryAuditReport audit =
+        analysis::audit_recovery_closure(lineage_log);
+    GS_THROW_IF(!audit.ok(), analysis::RecoveryAuditError, audit.summary());
+  }
+  if (opt.validate_schedule) {
+    analysis::ScheduleCheckOptions copt;
+    copt.lookahead = opt.effective_lookahead();
+    copt.in_memory = opt.strategy == Strategy::kInMemory;
+    copt.checkpoint_interval = opt.checkpoint_interval;
+    const analysis::ScheduleCheckReport check_report =
+        analysis::check_dataflow_schedule(engine.planner().workload(), copt,
+                                          graph_log);
+    GS_THROW_IF(!check_report.ok(), analysis::ScheduleViolationError,
+                check_report.summary());
+  }
+  return result;
+}
+
+/// Model-check a dataflow solve (`--model-check`): systematically explore
+/// the distinct interleavings of the emitted task graphs (DPOR-pruned to
+/// conflicting reorderings) and require every order to produce a
+/// bit-identical table with a clean ScheduleChecker and HbDetector verdict.
+/// `solve(run_opt)` runs one full solve and returns its table; it runs
+/// serially under a ReplayHook, so the exploration is deterministic
+/// regardless of the context's executor pool.
+template <typename SolveFn>
+analysis::ModelCheckReport model_check_dataflow(
+    sparklet::SparkContext& sc, const SolverOptions& opt,
+    const analysis::ModelCheckOptions& mc, SolveFn solve) {
+  SolverOptions run_opt = opt;
+  run_opt.schedule = ScheduleMode::kDataflow;  // hooks drive run_task_graph
+  run_opt.validate_schedule = true;  // verdicts at every explored order
+  run_opt.model_check = 0;
+  run_opt.audit_recovery = false;  // one static audit elsewhere, not per run
+  analysis::ModelChecker checker;
+  return checker.explore(
+      [&sc, &solve, &run_opt](analysis::ReplayHook& hook) {
+        analysis::HbDetector detector;
+        analysis::RunObservation obs;
+        {
+          analysis::ReplayScope scope(sc, hook, detector);
+          obs.digest = analysis::digest_matrix(solve(run_opt));
+        }
+        if (detector.races_found() > 0) {
+          obs.checks_ok = false;
+          obs.detail = detector.summary();
+        }
+        return obs;
+      },
+      mc);
+}
 
 }  // namespace gepspark

@@ -23,8 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/model_check.hpp"
-#include "analysis/schedule_check.hpp"
 #include "gepspark/copy_plan.hpp"
 #include "gepspark/dataflow.hpp"
 #include "gepspark/options.hpp"
@@ -73,31 +71,12 @@ class GepDriver {
     opt_.validate<Spec>();
   }
 
-  /// Run the full GEP computation on `input`, returning the processed table.
-  /// Compatibility wrapper over solve_profiled(): `stats` is the flat
-  /// projection of the JobProfile the profiled path produces.
-  gs::Matrix<T> solve(const gs::Matrix<T>& input, SolveStats* stats = nullptr) {
-    SolveResult<T> result = solve_profiled(input);
-    if (stats != nullptr) *stats = to_solve_stats(result.profile);
-    return std::move(result.matrix);
-  }
-
-  /// Unified result: the table, the structured profile, and its flat
-  /// SolveStats projection — what the public solve_gep returns.
-  SolveOutcome<T> solve_outcome(const gs::Matrix<T>& input) {
-    SolveResult<T> result = solve_profiled(input);
-    SolveOutcome<T> outcome;
-    outcome.matrix = std::move(result.matrix);
-    outcome.stats = to_solve_stats(result.profile);
-    outcome.profile = std::move(result.profile);
-    return outcome;
-  }
-
-  /// Run the computation and return {matrix, JobProfile}. Metrics capture is
-  /// scoped (MetricsScope), so the profile covers exactly this solve even on
-  /// a reused context. Enable sc.tracer() beforehand to also get span
-  /// nesting and per-iteration attribution.
-  SolveResult<T> solve_profiled(const gs::Matrix<T>& input) {
+  /// Run the full GEP computation on `input`: the processed table, the
+  /// structured JobProfile, and its flat SolveStats projection. Metrics
+  /// capture is scoped (MetricsScope), so the profile covers exactly this
+  /// solve even on a reused context. Enable sc.tracer() beforehand to also
+  /// get span nesting and per-iteration attribution.
+  SolveOutcome<T> solve(const gs::Matrix<T>& input) {
     const gs::BlockLayout layout =
         gs::BlockLayout::for_problem(input.rows(), opt_.block_size);
     gs::TileGrid<T> grid(input, opt_.block_size, Spec::pad_diag(),
@@ -116,7 +95,7 @@ class GepDriver {
 
     sparklet::MetricsScope scope(sc_.metrics(), sc_.timeline());
     gs::Stopwatch wall;
-    SolveResult<T> result;
+    SolveOutcome<T> result;
     {
       obs::ScopedSpan job_span(&sc_.tracer(), obs::SpanLevel::kJob,
                                opt_.describe());
@@ -124,33 +103,8 @@ class GepDriver {
         // Tile-level dataflow: same kernels on the same input versions, but
         // released per-task the moment dependencies are ready instead of
         // through the per-phase barrier loop below.
-        DataflowEngine<Spec> engine(sc_, opt_, kernels_, part_);
-        std::vector<std::vector<sparklet::DataflowTaskSpec>> graph_log;
-        if (opt_.validate_schedule) engine.set_graph_log(&graph_log);
-        std::vector<analysis::LineageSnapshot> lineage_log;
-        if (opt_.audit_recovery) engine.set_lineage_log(&lineage_log);
         result.matrix =
-            gs::TileGrid<T>::from_entries(layout, engine.solve(grid, layout))
-                .gather();
-        if (opt_.audit_recovery) {
-          const analysis::RecoveryAuditReport audit =
-              analysis::audit_recovery_closure(lineage_log);
-          GS_THROW_IF(!audit.ok(), analysis::RecoveryAuditError,
-                      audit.summary());
-        }
-        if (opt_.validate_schedule) {
-          analysis::ScheduleCheckOptions copt;
-          copt.lookahead = opt_.effective_lookahead();
-          copt.in_memory = opt_.strategy == Strategy::kInMemory;
-          copt.checkpoint_interval = opt_.checkpoint_interval;
-          const analysis::ScheduleCheckReport check_report =
-              analysis::check_dataflow_schedule(
-                  analysis::make_schedule_workload<Spec>(
-                      static_cast<int>(layout.r)),
-                  copt, graph_log);
-          GS_THROW_IF(!check_report.ok(), analysis::ScheduleViolationError,
-                      check_report.summary());
-        }
+            solve_dataflow(sc_, opt_, GepPlanner<Spec>(kernels_, grid), part_);
       } else {
         DpRdd dp =
             sparklet::parallelize_pairs(sc_, grid.entries(), part_, "DP");
@@ -165,6 +119,7 @@ class GepDriver {
     result.profile.job = opt_.describe();
     result.profile.wall_seconds = wall.seconds();
     result.profile.grid_r = static_cast<int>(layout.r);
+    result.stats = to_solve_stats(result.profile);
     return result;
   }
 

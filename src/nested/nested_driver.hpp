@@ -14,8 +14,9 @@
 // and re-broadcast each phase — the accordion's same-wave diagonal→panel
 // ordering falls out of phases being separate collect rounds.
 //
-// Dataflow: NestedEngine builds the per-segment task DAG (fences, lookahead,
-// transfer tasks, checkpoint snapshots) — see nested_dataflow.hpp.
+// Dataflow: NestedPlanner adapts the plan to the shared tile-dataflow
+// engine (gepspark/dataflow.hpp), which builds the per-segment task DAG
+// (fences, lookahead, transfer tasks, checkpoint snapshots).
 //
 // All three paths run plan.compute() — the same pure per-cell recurrence —
 // on the same tile inputs, so results are bit-identical across every mode.
@@ -23,17 +24,16 @@
 
 #include <cstddef>
 #include <memory>
+#include <ranges>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "analysis/hb_detector.hpp"
 #include "analysis/model_check.hpp"
-#include "analysis/schedule_check.hpp"
+#include "gepspark/dataflow.hpp"
 #include "gepspark/options.hpp"
 #include "grid/matrix.hpp"
-#include "nested/nested_dataflow.hpp"
 #include "nested/nested_plan.hpp"
 #include "obs/span.hpp"
 #include "sparklet/rdd.hpp"
@@ -198,6 +198,76 @@ gs::Matrix<double> solve_im(sparklet::SparkContext& sc, const Plan& plan,
 
 }  // namespace detail
 
+/// Dataflow planner for a wavefront Plan: wave wv emits one node per task of
+/// plan.wave_phases(wv), in phase order, whose deps are the finished tiles
+/// the task reads. The schedule is single-assignment — every tile is written
+/// exactly once, at a statically known wave — so there are no pinned inputs
+/// (wave-0 tasks read nothing; the recurrence seeds itself from the problem
+/// instance) and no superseded versions.
+template <typename Plan>
+class NestedPlanner {
+ public:
+  using TileR = nested::TileR;
+  using Payload = NestedTask;
+  static constexpr char kStepName = 'w';
+
+  explicit NestedPlanner(const Plan& plan)
+      : plan_(plan), task_label_(gs::strfmt("%sWave", Plan::name())) {}
+
+  int grid_rows() const { return plan_.grid_rows(); }
+  int grid_cols() const { return plan_.grid_cols(); }
+  int steps() const { return plan_.waves(); }
+  std::string graph_name(int first, int last) const {
+    return gs::strfmt("nested-%s(w=%d..%d)", Plan::name(), first, last);
+  }
+  const char* task_label(char /*kind*/) const { return task_label_.c_str(); }
+  /// CB ships each wave's outputs through the driver, exactly like the
+  /// barrier CB loop.
+  static int cb_group(char /*kind*/) { return 0; }
+  analysis::ScheduleWorkload workload() const { return plan_.workload(); }
+
+  template <typename Engine>
+  void add_inputs(Engine& /*eng*/) const {}
+
+  template <typename Engine>
+  void emit(Engine& eng, int wv) const {
+    for (auto& phase : plan_.wave_phases(wv)) {
+      for (NestedTask& task : phase) {
+        const gs::TileKey out = task.out;
+        const int id = eng.add_node(
+            out, task.kind, wv, plan_.tile_bytes(out),
+            task.reads | std::views::transform([&eng](gs::TileKey rd) {
+              return eng.latest(rd);
+            }),
+            std::move(task));
+        eng.add_task(id);
+      }
+    }
+  }
+
+  template <typename Engine>
+  TileR compute(const Engine& eng, const typename Engine::Node& nd) const {
+    return plan_.compute(nd.payload,
+                         [&eng](gs::TileKey key) { return tile(eng, key); });
+  }
+
+  template <typename Engine>
+  gs::Matrix<double> finish(const Engine& eng) const {
+    return plan_.assemble([&eng](gs::TileKey key) { return tile(eng, key); });
+  }
+
+ private:
+  template <typename Engine>
+  static TileR tile(const Engine& eng, gs::TileKey key) {
+    TileR t = eng.node(eng.latest(key)).out;
+    GS_CHECK_MSG(t != nullptr, "nested tile missing");
+    return t;
+  }
+
+  const Plan& plan_;
+  std::string task_label_;
+};
+
 /// Solve a nested workload under the configured strategy and schedule.
 template <typename Plan>
 gepspark::SolveOutcome<double> nested_solve(
@@ -230,29 +300,8 @@ gepspark::SolveOutcome<double> nested_solve(
   {
     obs::ScopedSpan job_span(&sc.tracer(), obs::SpanLevel::kJob, job_name);
     if (opt.schedule == gepspark::ScheduleMode::kDataflow) {
-      NestedEngine<Plan> engine(sc, opt, plan, part);
-      std::vector<std::vector<sparklet::DataflowTaskSpec>> graph_log;
-      if (opt.validate_schedule) engine.set_graph_log(&graph_log);
-      std::vector<analysis::LineageSnapshot> lineage_log;
-      if (opt.audit_recovery) engine.set_lineage_log(&lineage_log);
-      outcome.matrix = engine.solve();
-      if (opt.audit_recovery) {
-        const analysis::RecoveryAuditReport audit =
-            analysis::audit_recovery_closure(lineage_log);
-        GS_THROW_IF(!audit.ok(), analysis::RecoveryAuditError,
-                    audit.summary());
-      }
-      if (opt.validate_schedule) {
-        analysis::ScheduleCheckOptions copt;
-        copt.lookahead = opt.effective_lookahead();
-        copt.in_memory = opt.strategy == gepspark::Strategy::kInMemory;
-        copt.checkpoint_interval = opt.checkpoint_interval;
-        const analysis::ScheduleCheckReport check_report =
-            analysis::check_dataflow_schedule(plan.workload(), copt,
-                                              graph_log);
-        GS_THROW_IF(!check_report.ok(), analysis::ScheduleViolationError,
-                    check_report.summary());
-      }
+      outcome.matrix =
+          gepspark::solve_dataflow(sc, opt, NestedPlanner<Plan>(plan), part);
     } else if (opt.strategy == gepspark::Strategy::kInMemory) {
       outcome.matrix = detail::solve_im(sc, plan, opt, part);
     } else {
@@ -268,37 +317,17 @@ gepspark::SolveOutcome<double> nested_solve(
   return outcome;
 }
 
-/// Model-check a nested plan's dataflow schedule (`--model-check`): the
-/// nested counterpart of gepspark::model_check_gep. Each explored
-/// interleaving replays a full serial solve with schedule validation on and
-/// a fresh race detector, and must produce a bit-identical table.
+/// Model-check a nested plan's dataflow schedule (`--model-check`); see
+/// gepspark::model_check_dataflow.
 template <typename Plan>
 analysis::ModelCheckReport model_check_nested(
     sparklet::SparkContext& sc, const Plan& plan,
     const gepspark::SolverOptions& opt,
     const analysis::ModelCheckOptions& mc = analysis::ModelCheckOptions{}) {
-  gepspark::SolverOptions run_opt = opt;
-  run_opt.schedule = gepspark::ScheduleMode::kDataflow;
-  run_opt.validate_schedule = true;
-  run_opt.model_check = 0;
-  run_opt.audit_recovery = false;
-  analysis::ModelChecker checker;
-  return checker.explore(
-      [&sc, &plan, &run_opt](analysis::ReplayHook& hook) {
-        analysis::HbDetector detector;
-        analysis::RunObservation obs;
-        {
-          analysis::ReplayScope scope(sc, hook, detector);
-          obs.digest =
-              analysis::digest_matrix(nested_solve(sc, plan, run_opt).matrix);
-        }
-        if (detector.races_found() > 0) {
-          obs.checks_ok = false;
-          obs.detail = detector.summary();
-        }
-        return obs;
-      },
-      mc);
+  return gepspark::model_check_dataflow(
+      sc, opt, mc, [&](const gepspark::SolverOptions& run_opt) {
+        return nested_solve(sc, plan, run_opt).matrix;
+      });
 }
 
 }  // namespace nested

@@ -9,7 +9,8 @@
 //
 // Plans are cheap to copy (a problem struct + block size) and are the single
 // source of truth for all three execution modes: the barrier IM/CB drivers
-// and the NestedEngine all execute plan.compute() over plan.wave_phases().
+// and the shared dataflow engine all execute plan.compute() over
+// plan.wave_phases().
 #pragma once
 
 #include <algorithm>

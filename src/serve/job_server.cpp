@@ -224,6 +224,10 @@ void JobServer::worker_loop(int slot) {
       error = e.what();
     }
     sc.set_cancel_flag(nullptr);
+    // The job's profile is built; drop the context's per-task and per-stage
+    // history so a long-lived worker's memory stays flat across jobs.
+    sc.metrics().reset();
+    sc.timeline().reset();
 
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -245,6 +245,30 @@ TEST(Serving, ServedTableBitIdenticalToOneShotSolve) {
   EXPECT_EQ(table->profile.tenant, "default");
 }
 
+// Workers drop their context's task/stage history after every job; the
+// profile of a job must not depend on how many jobs the context ran before.
+TEST(Serving, RepeatedJobsOnOneContextKeepIdenticalProfiles) {
+  JobServer server(config(1));
+  const auto req = fw_request(64, 77);
+  std::vector<obs::JobProfile> profiles;
+  for (int i = 0; i < 50; ++i) {
+    auto ticket = server.submit(req);
+    ASSERT_EQ(ticket.await(), JobStatus::kDone);
+    profiles.push_back(server.table(ticket.id())->profile);
+    EXPECT_TRUE(server.evict(ticket.id()));
+  }
+  const obs::JobProfile& first = profiles.front();
+  const obs::JobProfile& last = profiles.back();
+  EXPECT_EQ(last.stages, first.stages);
+  EXPECT_EQ(last.tasks, first.tasks);
+  EXPECT_EQ(last.shuffle_bytes, first.shuffle_bytes);
+  EXPECT_EQ(last.collect_bytes, first.collect_bytes);
+  // Virtual time feeds on measured kernel wall times, so it only agrees to
+  // a tolerance.
+  EXPECT_NEAR(last.virtual_seconds, first.virtual_seconds,
+              0.25 * first.virtual_seconds);
+}
+
 TEST(Serving, FourTenantsConcurrentMixedKindsAllCorrect) {
   JobServer server(config(2));
   struct Expect {
