@@ -6,7 +6,7 @@
 # recovery paths and both schedulers are exercised with memory AND thread
 # checking on.
 #
-#   scripts/verify.sh             # all three builds + analysis stage
+#   scripts/verify.sh             # all builds + analysis + perfbench self-tests
 #   scripts/verify.sh --fast      # Release build + analysis stage only
 set -euo pipefail
 
@@ -220,6 +220,13 @@ serve_stage() {
 serve_stage build
 
 if [[ "${FAST}" == "0" ]]; then
+  # Wall-clock benchmark self-tests on --smoke sizes of every workload: the
+  # metric schema, the engine counts repeating across runs, the bitwise GAP
+  # check and the --corrupt self-test (a damaged output must count as a
+  # failed operation). Builds under .bench_build/ on first use.
+  echo "== perfbench self-tests =="
+  python3 perfbench/test_perfbench.py
+
   # UBSan-only tree: without ASan's shadow memory it is cheap enough to run
   # full solves — one GEP and one nested dataflow smoke catch undefined
   # behavior (overflow, misaligned access, bad shifts) on the hot paths.

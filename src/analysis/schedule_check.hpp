@@ -28,9 +28,8 @@
 // Checkpoint segmentation: the engine emits one graph per segment and
 // carries tile versions across the boundary; ScheduleChecker threads the
 // per-tile version map across check_segment() calls the same way, treating
-// versions older than the segment as resident inputs (the engine's
-// recover_carried() guarantees their availability, recomputing through
-// lineage if chaos lost them).
+// versions older than the segment as resident inputs (every segment but the
+// last ends in a checkpoint snapshot, so they are pinned in shared storage).
 //
 // The checker never looks at task *indices* to decide identity — tasks
 // carry structured metadata (DataflowTaskSpec::gep_kind/gep_k/tile_i/tile_j)

@@ -1,9 +1,10 @@
 // nested_reference.hpp — sequential reference solvers for the nested-dataflow
 // workloads (GAP, protein accordion folding, Viterbi decoding), written as
-// plain loop nests straight from the recurrences in nested_spec.hpp. Each one
-// shares the per-cell expression chain (gap_cell / accordion_cell /
-// viterbi_cell) with the tiled kernels, so the tiled solvers are validated
-// against these bit-for-bit, not within a tolerance.
+// plain loop nests straight from the recurrences in nested_spec.hpp: each
+// cell runs its per-cell function (gap_cell / accordion_cell /
+// viterbi_cell). The tiled kernels give every cell the same candidate values
+// under exact min/max, so the tiled solvers are validated against these
+// bit-for-bit, not within a tolerance.
 #pragma once
 
 #include <cstddef>

@@ -20,10 +20,11 @@
 //     each step's driver collect/broadcast;
 //   * per-step zero-cost fences and the lookahead gate: step k may not start
 //     before the fence of step k - lookahead - 1;
-//   * carried tiles as unpinned executor-store blocks between segments, the
-//     storage-tier block source, lineage recomputation down to pinned data,
-//     checksummed checkpoint snapshots with corruption heal, and the lineage
-//     and graph logs the analysis tools read.
+//   * checksummed checkpoint snapshots with corruption heal at every
+//     segment boundary (so each segment starts from pinned tiles only), the
+//     final tiles as executor-store blocks with the storage-tier block
+//     source, lineage recomputation down to pinned data, and the lineage and
+//     graph logs the analysis tools read.
 //
 // A planner supplies only what differs: the grid shape and step count, the
 // nodes each step emits (add_input / add_node / add_task / add_batch_task),
@@ -35,7 +36,7 @@
 //   * live tiles are visited in the order each grid cell was first inserted
 //     (row-major for GEP, whose inputs are inserted row-major; node-creation
 //     order for the single-assignment nested plans), which fixes the
-//     fetch-failure victim, the checkpoint order and the checksum seeds;
+//     checkpoint order and the checksum seeds;
 //   * a node's dep list keeps repeats (GEP's B/C/D read the pivot as u or v
 //     and as w); a task routes each distinct dep once, and only fused
 //     batches sort and dedupe the union of their members' edges;
@@ -149,11 +150,12 @@ class DataflowEngine : public sparklet::BlockSource {
     planner_.add_inputs(*this);
     const int steps = planner_.steps();
     const int interval = opt_.checkpoint_interval;
+    // Every segment but the last ends at a multiple of the interval and is
+    // checkpointed, so the next one starts from pinned tiles only.
     const int seg_len = interval > 0 ? interval : steps;
     int seg_index = 0;
     for (int s = 0; s < steps; s += seg_len, ++seg_index) {
       const int e = std::min(s + seg_len, steps);
-      if (seg_index > 0) recover_carried(seg_index);
       run_segment(s, e);
       if (interval > 0 && e % interval == 0) {
         checkpoint_snapshot();
@@ -524,46 +526,6 @@ class DataflowEngine : public sparklet::BlockSource {
 
   // ------------------------- recovery & snapshots -------------------------
 
-  /// Segment entry: chaos may have lost carried tiles since the last graph
-  /// ran (executor kill dropped their blocks, memory pressure evicted them,
-  /// or an injected fetch failure claims one outright). Anything missing is
-  /// recomputed through the node lineage down to pinned data.
-  void recover_carried(int seg_index) {
-    const sparklet::ChaosPlan& chaos = sc_.chaos_plan();
-    std::vector<int> unpinned;
-    for (std::size_t s : live_) {
-      const int id = latest_[s];
-      if (!node(id).pinned) unpinned.push_back(id);
-    }
-    if (chaos.fetch_failure_prob > 0.0 && !unpinned.empty()) {
-      gs::Rng rng(sparklet::chaos_event_seed(
-          chaos.seed, sparklet::kChaosFetch,
-          static_cast<std::uint64_t>(store_rdd_),
-          static_cast<std::uint64_t>(seg_index), 0));
-      if (rng.bernoulli(chaos.fetch_failure_prob)) {
-        Node& nd = nodes_[static_cast<std::size_t>(
-            unpinned[rng.uniform_u64(unpinned.size())])];
-        nd.out.reset();
-        sc_.executor_store().remove_block(block_id(slot(nd.key)));
-        sc_.metrics().note_fetch_failure();
-        sc_.metrics().note_partitions_dropped(1);
-        sc_.timeline().add_marker("fetch-failure");
-        sc_.timeline().add_serial("stage-retry-backoff",
-                                  sc_.config().stage_overhead_s,
-                                  sparklet::TimeCategory::kRecovery);
-      }
-    }
-    for (int id : unpinned) {
-      Node& nd = nodes_[static_cast<std::size_t>(id)];
-      if (nd.out != nullptr &&
-          !sc_.executor_store().has_block(block_id(slot(nd.key)))) {
-        nd.out.reset();  // lost to a kill or an eviction
-        sc_.metrics().note_partitions_dropped(1);
-      }
-    }
-    restore_live_outs();
-  }
-
   /// Bring every latest tile back in memory: readback first (a demoted copy
   /// on the serialized or disk tier restores the tile without touching
   /// lineage), recomputation for anything genuinely lost.
@@ -604,9 +566,9 @@ class DataflowEngine : public sparklet::BlockSource {
     return count + 1;
   }
 
-  /// Non-checkpoint segment boundary: carried tiles become unpinned cached
-  /// blocks in the executor store, giving kills and memory pressure
-  /// something concrete to lose.
+  /// End of the final, uncheckpointed segment: its tiles become unpinned
+  /// cached blocks in the executor store, where memory pressure may demote
+  /// them down the storage ladder before the gather reads them back.
   void register_carried_blocks() {
     for (std::size_t s : live_) {
       const Node& nd = node(latest_[s]);
@@ -617,8 +579,8 @@ class DataflowEngine : public sparklet::BlockSource {
                                        opt_.storage_level);
       } catch (const gs::CapacityError&) {
         // Executor memory is full even after demotion down the storage
-        // ladder: the tile goes untracked and will be recomputed next
-        // segment (graceful degradation, like MEMORY_ONLY caching).
+        // ladder: the tile goes untracked and stays in the node table
+        // (graceful degradation, like MEMORY_ONLY caching).
       }
     }
     sc_.flush_storage_charges();

@@ -8,11 +8,12 @@
 //
 // Each instance is defined by PURE seeded index functions (splitmix-derived
 // noise), not stored arrays: padded tiles can evaluate the recurrence at any
-// index without clamping, replays after chaos recovery see the same values,
-// and every execution mode — serial reference, barrier IM/CB drivers, the
-// nested dataflow engine — evaluates the exact same scalar expression chain
-// per cell. min/max are exact selections over identical candidate values, so
-// all modes are bit-identical by construction.
+// index without clamping, and replays after chaos recovery see the same
+// values. The per-cell functions below (gap_cell, accordion_cell,
+// viterbi_cell) are the oracle the serial references run; the tiled kernels
+// (nested_kernels.hpp) reorder the loops but give every cell exactly the
+// same candidate values, each one addition of the same two doubles. min/max
+// are exact selections, so all execution modes are bit-identical.
 #pragma once
 
 #include <algorithm>
@@ -55,7 +56,8 @@ struct GapProblem {
   double match_cost(std::size_t i, std::size_t j) const {
     return 4.0 * unit_noise(seed ^ 0xa11cell, i, j);
   }
-  /// Concave cost of a gap in x spanning columns (q, j].
+  /// Concave cost of a gap in x spanning columns (q, j]. Both gap costs
+  /// depend on the span only; the tiled kernel tabulates them by span.
   double gap_row(std::size_t q, std::size_t j) const {
     return 1.0 + 0.5 * std::sqrt(static_cast<double>(j - q));
   }
@@ -65,10 +67,9 @@ struct GapProblem {
   }
 };
 
-/// One GAP cell from a value lookup `at(i, j)`. The single shared expression
-/// chain every execution mode runs: min is an exact selection, each candidate
-/// is one addition of an earlier cell and a pure weight, so any evaluation
-/// order over the same candidate set is bit-identical.
+/// One GAP cell from a value lookup `at(i, j)`: min is an exact selection,
+/// each candidate is one addition of an earlier cell and a pure weight, so
+/// any evaluation order over the same candidate set is bit-identical.
 template <typename At>
 double gap_cell(const GapProblem& p, std::size_t i, std::size_t j,
                 const At& at) {

@@ -5,8 +5,11 @@
 //   * differential — every generated instance (degenerate edges included)
 //     solves BIT-IDENTICALLY across serial reference, barrier IM, barrier
 //     CB, and the nested dataflow engine (both strategies): min/max are
-//     exact selections and every mode runs the same per-cell expression
-//     chain, so equality is exact, not tolerance-based;
+//     exact selections over the same candidate values in every mode, so
+//     equality is exact, not tolerance-based;
+//   * kernel footprint — every task's kernel looks up only tiles its task
+//     declares, each at most once, and reproduces the reference tile from
+//     reference-cut inputs;
 //   * chaos × storage — the dataflow and barrier solves stay bit-identical
 //     under memory caps, disk-backed storage tiers, and the full chaos
 //     matrix across multiple seeds;
@@ -18,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,6 +63,10 @@ struct GapWorkload {
   static gs::Matrix<double> reference(const Problem& p) {
     return gs::baseline::reference_gap(p);
   }
+  static std::size_t tile_rows(std::size_t block) { return block; }
+  // Padding value that wins every min (max for the other two workloads):
+  // any real cell that read it would differ from the reference.
+  static constexpr double kPoison = -std::numeric_limits<double>::infinity();
 };
 
 struct AccordionWorkload {
@@ -67,6 +76,8 @@ struct AccordionWorkload {
   static gs::Matrix<double> reference(const Problem& p) {
     return gs::baseline::reference_accordion(p);
   }
+  static std::size_t tile_rows(std::size_t block) { return block; }
+  static constexpr double kPoison = std::numeric_limits<double>::infinity();
 };
 
 struct ViterbiWorkload {
@@ -80,6 +91,8 @@ struct ViterbiWorkload {
   static gs::Matrix<double> reference(const Problem& p) {
     return gs::baseline::reference_viterbi(p);
   }
+  static std::size_t tile_rows(std::size_t /*block*/) { return 1; }
+  static constexpr double kPoison = std::numeric_limits<double>::infinity();
 };
 
 struct RunConfig {
@@ -173,6 +186,92 @@ TEST(NestedDifferential, AccordionFoldingOptimumMatchesReference) {
   EXPECT_EQ(nested::accordion_best(got, prob.n),
             nested::accordion_best(ref, prob.n));
   EXPECT_GE(nested::accordion_best(got, prob.n), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel read footprint: declared tiles only, each looked up at most once
+// ---------------------------------------------------------------------------
+
+// Tile `key` of the serial reference, padded cells set to W::kPoison.
+template <typename W>
+nested::TileR reference_tile(const gs::Matrix<double>& ref, std::size_t block,
+                             gs::TileKey key) {
+  const std::size_t h = W::tile_rows(block);
+  auto t = std::make_shared<gs::Tile<double>>(h, block, W::kPoison);
+  const std::size_t row0 = static_cast<std::size_t>(key.i) * h;
+  const std::size_t col0 = static_cast<std::size_t>(key.j) * block;
+  for (std::size_t i = 0; i < h && row0 + i < ref.rows(); ++i) {
+    for (std::size_t j = 0; j < block && col0 + j < ref.cols(); ++j) {
+      (*t)(i, j) = ref(row0 + i, col0 + j);
+    }
+  }
+  return t;
+}
+
+// Runs every task of every wave through plan.compute with a recording
+// lookup backed by reference-cut tiles. The engine and HbDetector see only
+// the declared deps; this pins what the kernel itself actually reads.
+template <typename W>
+void expect_kernels_read_declared_tiles_once(std::uint64_t gen_seed) {
+  int tasks = 0;
+  for (const auto& c : gs::testutil::nested_cases(gen_seed)) {
+    const auto prob = W::problem(c);
+    const auto ref = W::reference(prob);
+    const typename W::Plan plan(prob, c.block);
+    const std::size_t h = W::tile_rows(c.block);
+    for (int wv = 0; wv < plan.waves(); ++wv) {
+      for (const auto& phase : plan.wave_phases(wv)) {
+        for (const nested::NestedTask& task : phase) {
+          std::vector<gs::TileKey> looked_up;
+          const nested::TileLookup at = [&](gs::TileKey key) {
+            looked_up.push_back(key);
+            return reference_tile<W>(ref, c.block, key);
+          };
+          const nested::TileR out = plan.compute(task, at);
+          ++tasks;
+          const std::string where = gs::strfmt(
+              "%s n=%zu block=%zu seed=%llu task (%d,%d)", W::Plan::name(),
+              c.n, c.block, static_cast<unsigned long long>(c.seed),
+              task.out.i, task.out.j);
+          for (const gs::TileKey key : looked_up) {
+            EXPECT_NE(std::find(task.reads.begin(), task.reads.end(), key),
+                      task.reads.end())
+                << where << " looked up undeclared (" << key.i << ","
+                << key.j << ")";
+          }
+          std::sort(looked_up.begin(), looked_up.end());
+          EXPECT_EQ(std::adjacent_find(looked_up.begin(), looked_up.end()),
+                    looked_up.end())
+              << where << " looked up a tile twice";
+          const auto want = reference_tile<W>(ref, c.block, task.out);
+          const std::size_t row0 = static_cast<std::size_t>(task.out.i) * h;
+          const std::size_t col0 =
+              static_cast<std::size_t>(task.out.j) * c.block;
+          int mismatches = 0;
+          for (std::size_t i = 0; i < h && row0 + i < ref.rows(); ++i) {
+            for (std::size_t j = 0; j < c.block && col0 + j < ref.cols();
+                 ++j) {
+              mismatches += (*out)(i, j) == (*want)(i, j) ? 0 : 1;
+            }
+          }
+          EXPECT_EQ(mismatches, 0) << where << " real cells differ";
+        }
+      }
+    }
+  }
+  EXPECT_GT(tasks, 0);
+}
+
+TEST(NestedKernelFootprint, GapReadsDeclaredTilesAtMostOnce) {
+  expect_kernels_read_declared_tiles_once<GapWorkload>(0xf00d01);
+}
+
+TEST(NestedKernelFootprint, AccordionReadsDeclaredTilesAtMostOnce) {
+  expect_kernels_read_declared_tiles_once<AccordionWorkload>(0xf00d02);
+}
+
+TEST(NestedKernelFootprint, ViterbiReadsDeclaredTilesAtMostOnce) {
+  expect_kernels_read_declared_tiles_once<ViterbiWorkload>(0xf00d03);
 }
 
 // ---------------------------------------------------------------------------
